@@ -29,11 +29,6 @@ impl EpiMonitor {
         self.previous = Some(epi);
         delta
     }
-
-    /// The last recorded EPI.
-    pub fn previous(&self) -> Option<f64> {
-        self.previous
-    }
 }
 
 /// One observed change in a cluster's healthy-core count.
@@ -92,11 +87,6 @@ impl HealthMonitor {
     pub fn log(&self) -> &[HealthEvent] {
         &self.log
     }
-
-    /// True when at least one core has been lost.
-    pub fn degraded(&self) -> bool {
-        !self.log.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +97,7 @@ mod tests {
     fn first_observation_has_no_delta() {
         let mut m = EpiMonitor::new();
         assert_eq!(m.observe(10.0), None);
-        assert_eq!(m.previous(), Some(10.0));
+        assert_eq!(m.observe(12.0), Some(0.2), "the first EPI is recorded");
     }
 
     #[test]
@@ -123,7 +113,6 @@ mod tests {
         let mut m = EpiMonitor::new();
         m.observe(10.0);
         assert_eq!(m.observe(f64::INFINITY), None);
-        assert_eq!(m.previous(), Some(10.0));
         assert_eq!(m.observe(0.0), None);
         assert_eq!(m.observe(12.0), Some(0.2));
     }
@@ -132,14 +121,13 @@ mod tests {
     fn health_monitor_logs_degradation_steps() {
         let mut m = HealthMonitor::new();
         assert_eq!(m.observe(16), None);
-        assert!(!m.degraded());
+        assert!(m.log().is_empty());
         assert_eq!(m.observe(16), None);
         let ev = m.observe(15).expect("core loss must be logged");
         assert_eq!((ev.from, ev.to), (16, 15));
         assert_eq!(ev.epoch, 2);
         assert_eq!(m.observe(15), None);
         assert_eq!(m.healthy(), Some(15));
-        assert!(m.degraded());
-        assert_eq!(m.log().len(), 1);
+        assert_eq!(m.log(), &[ev]);
     }
 }

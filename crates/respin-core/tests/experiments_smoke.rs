@@ -10,7 +10,16 @@ use respin_core::experiments::{
 };
 use respin_trace::{RingSink, TraceKind};
 use respin_workloads::Benchmark;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One memo for every figure test: the figures overlap (fig8's runs are
+/// fig6's; fig1, fig7, fig10, fig11 and fig14 fall inside fig6 and fig9),
+/// so each run is simulated once per test binary. Tests that count
+/// simulations keep caches of their own.
+fn shared() -> &'static RunCache {
+    static CACHE: OnceLock<RunCache> = OnceLock::new();
+    CACHE.get_or_init(RunCache::new)
+}
 
 fn micro() -> ExpParams {
     ExpParams {
@@ -23,8 +32,7 @@ fn micro() -> ExpParams {
 
 #[test]
 fn fig1_fractions_form_a_distribution_and_nt_is_leakier() {
-    let cache = RunCache::new();
-    let d = fig1::generate(&cache, &micro());
+    let d = fig1::generate(shared(), &micro());
     assert_eq!(d.rows.len(), 2);
     for r in &d.rows {
         let total = r.core_dynamic + r.core_leakage + r.cache_dynamic + r.cache_leakage + r.other;
@@ -44,8 +52,7 @@ fn fig1_fractions_form_a_distribution_and_nt_is_leakier() {
 
 #[test]
 fn fig6_baseline_rows_are_zero_and_stt_saves_at_large() {
-    let cache = RunCache::new();
-    let d = fig6::generate(&cache, &micro());
+    let d = fig6::generate(shared(), &micro());
     assert_eq!(d.rows.len(), 9);
     for r in d.rows.iter().filter(|r| r.config == "PR-SRAM-NT") {
         assert!(r.vs_baseline.abs() < 1e-9);
@@ -65,8 +72,7 @@ fn fig6_baseline_rows_are_zero_and_stt_saves_at_large() {
 
 #[test]
 fn fig7_shared_designs_are_faster_hp_fastest() {
-    let cache = RunCache::new();
-    let d = fig7::generate(&cache, &micro());
+    let d = fig7::generate(shared(), &micro());
     let mean = d.rows.last().expect("geomean row");
     assert_eq!(mean.benchmark, "geomean");
     assert!(mean.sh_stt < 1.0, "SH-STT mean {}", mean.sh_stt);
@@ -79,8 +85,7 @@ fn fig7_shared_designs_are_faster_hp_fastest() {
 
 #[test]
 fn fig8_stt_advantage_grows_with_cache_size() {
-    let cache = RunCache::new();
-    let d = fig8::generate(&cache, &micro());
+    let d = fig8::generate(shared(), &micro());
     let stt: Vec<f64> = d
         .rows
         .iter()
@@ -107,8 +112,7 @@ fn fig8_stt_advantage_grows_with_cache_size() {
 
 #[test]
 fn fig9_has_all_configs_and_ordering() {
-    let cache = RunCache::new();
-    let d = fig9::generate(&cache, &micro());
+    let d = fig9::generate(shared(), &micro());
     assert_eq!(d.configs.len(), 7);
     assert_eq!(d.rows.len(), 14); // 13 benchmarks + geomean
     let mean = &d.rows.last().unwrap().energy;
@@ -122,8 +126,7 @@ fn fig9_has_all_configs_and_ordering() {
 
 #[test]
 fn fig10_distributions_sum_to_one() {
-    let cache = RunCache::new();
-    let d = fig10::generate(&cache, &micro());
+    let d = fig10::generate(shared(), &micro());
     assert_eq!(d.rows.len(), 6); // 5 benchmarks + mean
     for r in &d.rows {
         let total: f64 = r.fractions.iter().sum();
@@ -133,8 +136,7 @@ fn fig10_distributions_sum_to_one() {
 
 #[test]
 fn fig11_one_cycle_dominates() {
-    let cache = RunCache::new();
-    let d = fig11::generate(&cache, &micro());
+    let d = fig11::generate(shared(), &micro());
     let mean = d.rows.last().unwrap();
     assert_eq!(mean.benchmark, "mean");
     assert!(
@@ -148,8 +150,7 @@ fn fig11_one_cycle_dominates() {
 
 #[test]
 fn fig12_traces_are_monotone_in_time_and_within_range() {
-    let cache = RunCache::new();
-    let d = fig12_13::generate(&cache, &micro(), "Figure 12", Benchmark::Radix);
+    let d = fig12_13::generate(shared(), &micro(), "Figure 12", Benchmark::Radix);
     assert_eq!(d.traces.len(), 2);
     for t in &d.traces {
         assert!(!t.series.is_empty());
@@ -164,8 +165,7 @@ fn fig12_traces_are_monotone_in_time_and_within_range() {
 
 #[test]
 fn fig14_ranges_are_consistent() {
-    let cache = RunCache::new();
-    let d = fig14::generate(&cache, &micro());
+    let d = fig14::generate(shared(), &micro());
     assert_eq!(d.rows.len(), 14);
     for r in &d.rows {
         // Every real run produces samples; min/max are None only for a
@@ -187,8 +187,7 @@ fn fig14_ranges_are_consistent() {
 
 #[test]
 fn cluster_sweep_covers_the_paper_points() {
-    let cache = RunCache::new();
-    let d = cluster_sweep::generate(&cache, &micro());
+    let d = cluster_sweep::generate(shared(), &micro());
     let sizes: Vec<usize> = d.rows.iter().map(|r| r.cores_per_cluster).collect();
     assert_eq!(sizes, vec![4, 8, 16, 32]);
     for r in &d.rows {
@@ -201,8 +200,7 @@ fn cluster_sweep_covers_the_paper_points() {
 
 #[test]
 fn ablation_produces_all_three_sweeps() {
-    let cache = RunCache::new();
-    let d = ablation::generate(&cache, &micro());
+    let d = ablation::generate(shared(), &micro());
     assert_eq!(d.epochs.len(), 4);
     assert_eq!(d.delivery.len(), 5);
     assert_eq!(d.thresholds.len(), 3);

@@ -481,6 +481,7 @@ mod tests {
 
         /// Retry count never exceeds the configured budget, for arbitrary
         /// BER, budget, and write coordinates.
+        #[test]
         fn retries_never_exceed_budget(
             ber_mill in 0u64..1000,
             budget in 1u32..8,

@@ -146,15 +146,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        #[test]
         fn roundtrip_any_payload(data in 0u64..u64::MAX) {
             prop_assert_eq!(decode(encode(data)), Decoded::Clean(data));
         }
 
+        #[test]
         fn single_flip_corrected(data in 0u64..u64::MAX, pos in 0u32..72) {
             let word = encode(data) ^ (1u128 << pos);
             prop_assert_eq!(decode(word), Decoded::Corrected(data));
         }
 
+        #[test]
         fn double_flip_detected(data in 0u64..u64::MAX, a in 0u32..72, delta in 1u32..71) {
             let b = (a + delta) % 72;
             let word = encode(data) ^ (1u128 << a) ^ (1u128 << b);

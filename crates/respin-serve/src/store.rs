@@ -22,20 +22,22 @@
 //! wrong result. Only completed runs are ever saved: a run that panics
 //! leaves no entry, so its key is simply retried next time.
 //!
-//! Durability discipline: every write — entries and the LRU index —
-//! goes through [`atomic_write`] (tmp + fsync + rename + dir fsync).
-//! `SIGKILL` at any instant leaves either the old file or the new one,
-//! never a torn hybrid; the kill-and-restart integration test, the
-//! `verify.sh` serve smoke gate and its kill-and-resume gate exercise
-//! exactly this.
+//! The entry files are the store's only durable state. Every entry
+//! write goes through [`atomic_write`] (tmp + fsync + rename + dir
+//! fsync). `SIGKILL` at any instant leaves either the old file or the
+//! new one, never a torn hybrid; the kill-and-restart integration test,
+//! the `verify.sh` serve smoke gate and its kill-and-resume gate
+//! exercise exactly this. `open` and a load write nothing; a save
+//! writes only its own entry (and deletes what eviction picks).
 //!
-//! Eviction: the store carries a byte budget. An `index.json` sidecar
-//! records a logical access clock per entry (no wall clock — the store
-//! lives in a result-bearing crate, rule D002); when a save pushes the
-//! total over budget, least-recently-used entries are deleted until it
-//! fits. A missing or corrupt index is rebuilt from the entry files
-//! (order unknowable, so survivors restart at clock zero) — the index
-//! is an optimisation, never a source of truth.
+//! Eviction: the store carries a byte budget. An in-memory index keeps
+//! each entry's size and a logical access clock (no wall clock — the
+//! store lives in a result-bearing crate, rule D002); when a save pushes
+//! the total over budget, least-recently-used entries are deleted until
+//! it fits. Recency is not persisted: `open` lists the entry files at
+//! clock zero, so entries that survive a restart rank by hash until they
+//! are loaded or saved again. Any other file in the directory (the LRU
+//! sidecar an older build kept, say) is ignored.
 
 use parking_lot::Mutex;
 use respin_core::experiments::common::ResultBacking;
@@ -106,31 +108,12 @@ fn decode_record(line: &str) -> Result<(String, RunResult), String> {
     Ok((key, result))
 }
 
-/// File name of the LRU index sidecar.
-pub const INDEX_FILE: &str = "index.json";
-
 /// Default store byte budget: 256 MiB (thousands of quick-profile
 /// results; a full-profile `RunResult` line is a few KiB).
 pub const DEFAULT_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Serialised LRU index: schema version, logical clock high-water mark,
-/// and one line per entry. Written atomically on every mutation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct IndexFile {
-    v: u64,
-    clock: u64,
-    entries: Vec<IndexLine>,
-}
-
-/// One indexed entry: content hash (hex file stem), size, last access.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct IndexLine {
-    hash: String,
-    bytes: u64,
-    seq: u64,
-}
-
-/// In-memory index state, guarded by one store-wide mutex.
+/// The in-memory index, guarded by one store-wide mutex: each entry's
+/// size and last access on a logical clock. Never persisted.
 struct Index {
     clock: u64,
     entries: BTreeMap<String, (u64, u64)>, // hash -> (bytes, seq)
@@ -145,9 +128,10 @@ impl Index {
 /// Counters snapshot for `stats` responses and the bench report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Entries currently on disk.
+    /// Entries indexed: found at `open` or saved since, less evictions
+    /// and quarantines.
     pub entries: usize,
-    /// Total entry bytes currently on disk.
+    /// Total bytes of the indexed entry files.
     pub bytes: u64,
     /// Loads that returned a result.
     pub hits: u64,
@@ -157,8 +141,6 @@ pub struct StoreStats {
     pub saves: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
-    /// Index sidecar writes that failed (each logged; LRU order degrades).
-    pub index_write_failures: u64,
 }
 
 /// The persistent content-addressed result store.
@@ -170,13 +152,6 @@ pub struct ResultStore {
     dir: PathBuf,
     budget_bytes: u64,
     index: Mutex<Index>,
-    /// Serialises index persistence: held across the snapshot and its
-    /// `atomic_write`, so concurrent writers never share `index.json.tmp`
-    /// and a later snapshot is never overwritten by an earlier one. Kept
-    /// apart from `index` so lookups never wait on an fsync; always taken
-    /// before `index`, never while holding it.
-    index_writer: Mutex<()>,
-    index_write_failures: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     saves: AtomicU64,
@@ -198,11 +173,8 @@ impl ResultStore {
     /// byte budget (clamped to at least one entry's worth; `0` means
     /// [`DEFAULT_BUDGET_BYTES`]).
     ///
-    /// Reconciles the index against the directory: entries on disk but
-    /// not indexed join at clock zero (evicted first); index lines
-    /// whose file vanished are dropped; sizes always come from the
-    /// files. A missing or unparseable index is rebuilt the same way —
-    /// never an error.
+    /// Indexes every entry file in the directory at clock zero, with
+    /// its size read from the file. Opening writes nothing.
     pub fn open(dir: &Path, budget_bytes: u64) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         let budget = if budget_bytes == 0 {
@@ -210,69 +182,28 @@ impl ResultStore {
         } else {
             budget_bytes
         };
-        let mut clock = 0;
-        let mut seqs: BTreeMap<String, u64> = BTreeMap::new();
-        if let Ok(text) = std::fs::read_to_string(dir.join(INDEX_FILE)) {
-            if let Ok(file) = serde_json::from_str::<IndexFile>(&text) {
-                clock = file.clock;
-                for line in file.entries {
-                    seqs.insert(line.hash, line.seq);
-                }
-            }
-        }
-        // Reconcile against what is actually on disk: the entry files
-        // decide which entries exist and their sizes (an index is
-        // untrusted bytes, so its `bytes` never feed the budget sums);
-        // the index contributes only each survivor's access order.
-        let mut index = Index {
-            clock,
-            entries: BTreeMap::new(),
-        };
+        let mut entries = BTreeMap::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
             if is_entry_name(&name) {
-                let hash = name[..16].to_string();
-                // Unindexed survivors (index lost, or a crash between
-                // entry and index write) join at clock 0: first in line
-                // to evict.
-                let seq = seqs.get(&hash).copied().unwrap_or(0);
-                index.entries.insert(hash, (entry.metadata()?.len(), seq));
+                entries.insert(name[..16].to_string(), (entry.metadata()?.len(), 0));
             }
         }
-        let store = Self {
+        Ok(Self {
             dir: dir.to_path_buf(),
             budget_bytes: budget,
-            index: Mutex::new(index),
-            index_writer: Mutex::new(()),
-            index_write_failures: AtomicU64::new(0),
+            index: Mutex::new(Index { clock: 0, entries }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             saves: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-        };
-        store.persist_index();
-        Ok(store)
+        })
     }
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    /// Entries currently indexed.
-    pub fn len(&self) -> usize {
-        self.index.lock().entries.len()
-    }
-
-    /// True when the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Counters + occupancy snapshot.
@@ -285,40 +216,12 @@ impl ResultStore {
             misses: self.misses.load(Ordering::SeqCst),
             saves: self.saves.load(Ordering::SeqCst),
             evictions: self.evictions.load(Ordering::SeqCst),
-            index_write_failures: self.index_write_failures.load(Ordering::SeqCst),
         }
     }
 
     /// Absolute path of the entry file for `key`.
     pub fn entry_path(&self, key: &str) -> PathBuf {
         self.dir.join(format!("{}.json", hash_stem(key)))
-    }
-
-    /// Serialises the index sidecar with `atomic_write`. Best-effort:
-    /// an index write failure costs LRU fidelity, not correctness.
-    fn persist_index(&self) {
-        let _writer = self.index_writer.lock();
-        let file = {
-            let index = self.index.lock();
-            IndexFile {
-                v: 1,
-                clock: index.clock,
-                entries: index
-                    .entries
-                    .iter()
-                    .map(|(hash, &(bytes, seq))| IndexLine {
-                        hash: hash.clone(),
-                        bytes,
-                        seq,
-                    })
-                    .collect(),
-            }
-        };
-        let body = serde_json::to_string(&file).expect("index serialises");
-        if let Err(e) = atomic_write(&self.dir.join(INDEX_FILE), body.as_bytes()) {
-            self.index_write_failures.fetch_add(1, Ordering::SeqCst);
-            eprintln!("respin-serve: store index write failed (degrading): {e}");
-        }
     }
 
     /// Deletes LRU entries until the total fits the budget. The entry
@@ -387,7 +290,6 @@ impl ResultBacking for ResultStore {
                 );
                 let _ = std::fs::remove_file(&path);
                 self.index.lock().entries.remove(&stem);
-                self.persist_index();
                 self.misses.fetch_add(1, Ordering::SeqCst);
                 return None;
             }
@@ -407,7 +309,6 @@ impl ResultBacking for ResultStore {
                 slot.1 = clock;
             }
         }
-        self.persist_index();
         self.hits.fetch_add(1, Ordering::SeqCst);
         Some(result)
     }
@@ -428,7 +329,6 @@ impl ResultBacking for ResultStore {
             index.entries.insert(stem.clone(), (bytes, clock));
         }
         self.evict_to_budget(&stem);
-        self.persist_index();
         self.saves.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -441,12 +341,17 @@ mod tests {
     use respin_core::run;
     use respin_core::ArchConfig;
     use respin_workloads::Benchmark;
+    use std::sync::OnceLock;
 
+    /// One quick-profile run, simulated once for the whole test binary.
     fn tiny_result() -> (String, RunResult) {
-        let params = ExpParams::quick();
-        let opts = params.options(ArchConfig::PrSramNt, Benchmark::Fft);
-        let key = canonical_key(&opts);
-        (key, run(&opts))
+        static TINY: OnceLock<(String, RunResult)> = OnceLock::new();
+        TINY.get_or_init(|| {
+            let params = ExpParams::quick();
+            let opts = params.options(ArchConfig::PrSramNt, Benchmark::Fft);
+            (canonical_key(&opts), run(&opts))
+        })
+        .clone()
     }
 
     fn dir(tag: &str) -> PathBuf {
@@ -533,10 +438,18 @@ mod tests {
         atomic_write(&path, &text.as_bytes()[..text.len() / 2]).unwrap();
 
         let store = ResultStore::open(&dir, 0).unwrap();
-        assert_eq!(store.len(), 2, "the torn file is still indexed at open");
+        assert_eq!(
+            store.stats().entries,
+            2,
+            "the torn file is still indexed at open"
+        );
         assert!(store.load(&key).is_none(), "torn entry must miss");
         assert_eq!(store.load("k1").unwrap(), result, "neighbour survives");
-        assert_eq!(store.len(), 1, "torn entry dropped from the index");
+        assert_eq!(
+            store.stats().entries,
+            1,
+            "torn entry dropped from the index"
+        );
         // Saving again lands a clean, loadable entry with the original bytes.
         store.save(&key, &result);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
@@ -551,8 +464,12 @@ mod tests {
         let dir = root.join("nested").join("store");
         let store = ResultStore::open(&dir, 0).unwrap();
         assert!(dir.is_dir(), "open creates the directory");
-        assert!(store.is_empty());
-        assert_eq!(store.budget_bytes(), DEFAULT_BUDGET_BYTES);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "open writes no file"
+        );
+        assert_eq!(store.budget_bytes, DEFAULT_BUDGET_BYTES);
         assert_eq!(
             store.stats(),
             StoreStats {
@@ -562,17 +479,6 @@ mod tests {
                 misses: 0,
                 saves: 0,
                 evictions: 0,
-                index_write_failures: 0,
-            }
-        );
-        let text = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
-        let file: IndexFile = serde_json::from_str(&text).unwrap();
-        assert_eq!(
-            file,
-            IndexFile {
-                v: 1,
-                clock: 0,
-                entries: Vec::new(),
             }
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -596,39 +502,6 @@ mod tests {
         );
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hostile_index_values_degrade_without_overflow() {
-        // `index.json` is untrusted bytes: sizes and clocks at the top of
-        // the range must neither overflow the budget sums nor the clock.
-        let dir = dir("hostile");
-        let (key, result) = tiny_result();
-        {
-            let store = ResultStore::open(&dir, 0).unwrap();
-            store.save(&key, &result);
-            store.save("second-key", &result);
-        }
-        let max = u64::MAX;
-        let entries: Vec<String> = [&key[..], "second-key"]
-            .iter()
-            .map(|k| {
-                format!(
-                    "{{\"hash\":\"{}\",\"bytes\":{max},\"seq\":{max}}}",
-                    hash_stem(k)
-                )
-            })
-            .collect();
-        let index = format!(
-            "{{\"v\":1,\"clock\":{max},\"entries\":[{}]}}",
-            entries.join(",")
-        );
-        atomic_write(&dir.join(INDEX_FILE), index.as_bytes()).unwrap();
-        let store = ResultStore::open(&dir, 0).unwrap();
-        assert_eq!(store.load(&key).unwrap(), result);
-        store.save("third-key", &result);
-        assert_eq!(store.len(), 3, "real sizes fit the default budget");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -683,7 +556,7 @@ mod tests {
         let store = ResultStore::open(&dir, line_bytes + 16).unwrap();
         store.save("first-key", &result);
         store.save("second-key", &result);
-        assert_eq!(store.len(), 1, "budget holds one entry");
+        assert_eq!(store.stats().entries, 1, "budget holds one entry");
         assert!(store.load("first-key").is_none(), "LRU entry evicted");
         assert!(store.load("second-key").is_some(), "newest save kept");
         assert_eq!(store.stats().evictions, 1);
@@ -691,7 +564,32 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_loads_and_saves_persist_the_index_without_races() {
+    fn loads_set_recency() {
+        let dir = dir("recency");
+        let (key, result) = tiny_result();
+        // Budget of two entries (+ slack): the third save evicts one.
+        let line_bytes = encode_record(&key, &result).len() as u64 + 1;
+        let store = ResultStore::open(&dir, 2 * line_bytes + 16).unwrap();
+        store.save("a-key", &result);
+        store.save("b-key", &result);
+        assert!(store.load("a-key").is_some());
+        store.save("c-key", &result);
+        assert_eq!(store.stats().evictions, 1);
+        assert!(
+            store.load("b-key").is_none(),
+            "the least recently used went"
+        );
+        assert_eq!(store.load("a-key").unwrap(), result, "the load kept a");
+        assert_eq!(
+            store.load("c-key").unwrap(),
+            result,
+            "the newest save stays"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_loads_and_saves_keep_every_entry() {
         let dir = dir("race");
         let (key, result) = tiny_result();
         let store = ResultStore::open(&dir, 0).unwrap();
@@ -707,26 +605,114 @@ mod tests {
                 });
             }
         });
-        assert_eq!(store.stats().index_write_failures, 0);
-        let text = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
-        let file: IndexFile = serde_json::from_str(&text).unwrap();
-        assert_eq!(file.clock, store.index.lock().clock, "stale index won");
-        assert_eq!(file.entries.len(), 101);
+        let reopened = ResultStore::open(&dir, 0).unwrap();
+        assert_eq!(reopened.stats().entries, 101);
+        assert_eq!(reopened.stats().bytes, store.stats().bytes);
+        assert_eq!(reopened.load(&key).unwrap(), result);
+        for t in 0..4 {
+            for i in 0..25 {
+                assert_eq!(reopened.load(&format!("race-{t}-{i}")).unwrap(), result);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every file name in `dir` with its bytes.
+    fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reopen_indexes_every_entry_file() {
+        let dir = dir("reindex");
+        let (key, result) = tiny_result();
+        let bytes = {
+            let store = ResultStore::open(&dir, 0).unwrap();
+            store.save(&key, &result);
+            store.save("second-key", &result);
+            store.stats().bytes
+        };
+        let store = ResultStore::open(&dir, 0).unwrap();
+        let stats = store.stats();
+        assert_eq!(
+            (stats.entries, stats.bytes),
+            (2, bytes),
+            "sizes come from the files"
+        );
+        assert_eq!(store.load(&key).unwrap(), result);
+        assert_eq!(store.load("second-key").unwrap(), result);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn lost_index_is_rebuilt_from_entry_files() {
-        let dir = dir("reindex");
+    fn open_and_warm_loads_write_nothing() {
+        let dir = dir("readonly");
         let (key, result) = tiny_result();
         {
             let store = ResultStore::open(&dir, 0).unwrap();
             store.save(&key, &result);
+            store.save("second-key", &result);
         }
-        std::fs::remove_file(dir.join(INDEX_FILE)).unwrap();
+        let before = snapshot(&dir);
+        assert_eq!(before.len(), 2, "one file per entry and nothing else");
         let store = ResultStore::open(&dir, 0).unwrap();
-        assert_eq!(store.len(), 1, "entry rediscovered without an index");
+        assert_eq!(snapshot(&dir), before, "open wrote");
         assert_eq!(store.load(&key).unwrap(), result);
+        assert!(store.load("never-saved").is_none());
+        assert_eq!(snapshot(&dir), before, "a load wrote");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_store_left_by_an_older_build_serves_every_entry() {
+        // Older builds kept an LRU sidecar, `index.json`, next to the
+        // entries. It is now an unrelated file: never read, never written.
+        let (key, result) = tiny_result();
+        let keys = [&key[..], "second-key"];
+        let valid = format!(
+            "{{\"v\":1,\"clock\":5,\"entries\":[{}]}}",
+            keys.iter()
+                .enumerate()
+                .map(|(i, k)| format!(
+                    "{{\"hash\":\"{}\",\"bytes\":1,\"seq\":{}}}",
+                    hash_stem(k),
+                    i + 3
+                ))
+                .collect::<Vec<_>>()
+                .join(",")
+        );
+        for (tag, sidecar) in [
+            ("older-valid", valid.into_bytes()),
+            ("older-garbage", vec![0xff, b'{', 0, b'"']),
+        ] {
+            let dir = dir(tag);
+            {
+                let store = ResultStore::open(&dir, 0).unwrap();
+                for k in keys {
+                    store.save(k, &result);
+                }
+            }
+            let sidecar_path = dir.join("index.json");
+            std::fs::write(&sidecar_path, &sidecar).unwrap();
+            let store = ResultStore::open(&dir, 0).unwrap();
+            assert_eq!(store.stats().entries, 2, "{tag}: the sidecar is no entry");
+            for k in keys {
+                assert_eq!(store.load(k).unwrap(), result, "{tag}");
+            }
+            store.save("third-key", &result);
+            assert_eq!(
+                std::fs::read(&sidecar_path).unwrap(),
+                sidecar,
+                "{tag}: sidecar touched"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

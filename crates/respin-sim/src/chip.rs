@@ -795,7 +795,7 @@ impl Chip {
         debug_assert!(target > now);
         for cl in &mut self.clusters {
             if let L1System::Shared(s) = &mut cl.l1 {
-                debug_assert!(s.next_work_tick().is_none_or(|t| t >= target));
+                debug_assert!(s.next_work_tick_from(now).is_none_or(|t| t >= target));
                 s.note_idle_ticks(target - now);
             }
             let mut clock_cycles = 0;

@@ -27,8 +27,8 @@
 //! encodes for maps: internal layout may be anything, but anything
 //! *reported* must be a pure function of the map contents.
 //!
-//! The old tree-backed implementation is retained as
-//! [`reference::BTreeDirectory`], the oracle for differential tests.
+//! The old tree-backed implementation is retained, in tests only, as
+//! `reference::BTreeDirectory`, the oracle for differential tests.
 
 use crate::cache::LineState;
 use crate::journal::{Journal, Journaled};
@@ -388,8 +388,8 @@ impl fmt::Debug for Directory {
 /// The retained `BTreeMap` implementation: the differential-test oracle
 /// the dense table is checked against (same protocol logic, tree-backed
 /// storage whose iteration order is trivially canonical).
-#[doc(hidden)]
-pub mod reference {
+#[cfg(test)]
+mod reference {
     use super::{DirEntry, LineState, ReadOutcome, WriteOutcome};
     use std::collections::BTreeMap;
 

@@ -274,11 +274,14 @@ impl SharedL1 {
         self.stats.writes += 1;
     }
 
-    /// Earliest tick at which this controller has work: the minimum
-    /// `arrival_tick` over every pending read and write. `None` when both
-    /// ports are idle. A value `<= now` means a backlog is still
-    /// draining (the ports service one operation per cycle), so the
-    /// controller is busy *every* cycle until the queues catch up.
+    /// Earliest tick at or after `now` at which this controller has
+    /// work: the minimum `arrival_tick` over every pending read and
+    /// write, clamped to `now`. `None` when both ports are idle. An
+    /// arrival `<= now` means a backlog is still draining (the ports
+    /// service one operation per cycle), so the controller is busy
+    /// *every* cycle until the queues catch up; the scan returns
+    /// `Some(now)` as soon as it sees one, instead of looking on for an
+    /// exact minimum the clamp would discard.
     ///
     /// This is the controller's contribution to the chip's next-wakeup
     /// computation: on any tick strictly before this one, [`tick`] would
@@ -286,17 +289,6 @@ impl SharedL1 {
     /// [`SharedL1Stats::record_idle_cycles`]).
     ///
     /// [`tick`]: SharedL1::tick
-    pub fn next_work_tick(&self) -> Option<u64> {
-        let reads = self.reads.iter().flatten().map(|r| r.arrival_tick);
-        let writes = self.writes.iter().map(|w| w.arrival_tick);
-        reads.chain(writes).min()
-    }
-
-    /// [`next_work_tick`](SharedL1::next_work_tick) for a caller that
-    /// clamps the answer to `now` anyway (the chip's next-wakeup fold):
-    /// returns `Some(now)` as soon as any arrival at or before `now` is
-    /// seen, instead of scanning the rest for an exact minimum the
-    /// clamp would discard.
     pub fn next_work_tick_from(&self, now: u64) -> Option<u64> {
         let reads = self.reads.iter().flatten().map(|r| r.arrival_tick);
         let writes = self.writes.iter().map(|w| w.arrival_tick);
@@ -318,7 +310,7 @@ impl SharedL1 {
     /// where no request is pending or arriving: only the Figure 10
     /// arrival histogram advances. The caller (the chip's fast path)
     /// guarantees the skipped window ends strictly before
-    /// [`next_work_tick`](SharedL1::next_work_tick).
+    /// [`next_work_tick_from`](SharedL1::next_work_tick_from).
     pub fn note_idle_ticks(&mut self, n: u64) {
         self.stats.record_idle_cycles(n);
     }
@@ -610,21 +602,26 @@ mod tests {
     #[test]
     fn next_work_tick_tracks_pending_arrivals() {
         let mut c = controller(4);
-        assert_eq!(c.next_work_tick(), None);
+        assert_eq!(c.next_work_tick_from(0), None);
         // delivery_ticks = 1 for this geometry/mult (see constructor).
         c.issue_read(0, 0x1000, 4, 4);
-        let read_arrival = c.next_work_tick().expect("read pending");
+        let read_arrival = c.next_work_tick_from(0).expect("read pending");
         assert!(read_arrival > 4, "delivery delay pushes arrival past issue");
         c.enqueue_fill(0x2000, 3, LineState::Exclusive);
-        assert_eq!(c.next_work_tick(), Some(3), "earliest of read and fill");
+        assert_eq!(
+            c.next_work_tick_from(0),
+            Some(3),
+            "earliest of read and fill"
+        );
+        assert_eq!(c.next_work_tick_from(5), Some(5), "a backlog clamps to now");
         // Service everything; the controller goes quiet again.
         let mut t = 0;
-        while c.next_work_tick().is_some() {
+        while c.next_work_tick_from(t).is_some() {
             run_tick(&mut c, t);
             t += 1;
             assert!(t < 100, "controller never drained");
         }
-        assert_eq!(c.next_work_tick(), None);
+        assert_eq!(c.next_work_tick_from(t), None);
     }
 
     #[test]

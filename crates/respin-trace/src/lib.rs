@@ -35,5 +35,5 @@ pub mod export;
 pub mod sink;
 
 pub use event::{finite_or_zero, TraceEvent, TraceKind};
-pub use export::{canonical_order, to_chrome_trace, to_jsonl, to_jsonl_line, validate_jsonl};
+pub use export::{canonical_order, to_chrome_trace, to_jsonl, to_jsonl_line};
 pub use sink::{RingSink, ScopedSink, TraceSink, Tracer};

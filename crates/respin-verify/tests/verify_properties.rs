@@ -62,6 +62,7 @@ proptest! {
     // zero-core geometries, inverted rails, and sub-threshold voltages —
     // yields a report (no panic), the report agrees with `validate`, and
     // every violation carries enough context to act on.
+    #[test]
     fn checker_is_total_and_well_formed(
         clusters in 0usize..6,
         cores_per_cluster in 0usize..20,
@@ -90,6 +91,7 @@ proptest! {
 
     // Acceptance: every configuration the checker passes must construct a
     // Chip without panicking. Small instances keep the 96 cases fast.
+    #[test]
     fn verified_configs_construct_chips(
         clusters in 1usize..3,
         cpc_exp in 0u32..3,

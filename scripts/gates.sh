@@ -7,6 +7,7 @@
 #   scripts/gates.sh vendor           vendored dependencies present (offline build preflight)
 #   scripts/gates.sh docs             rustdoc: the workspace's docs build without a warning
 #   scripts/gates.sh dead-code        no `allow(dead_code)` in crates/*/src: unused code is deleted, not silenced
+#   scripts/gates.sh test-names       no test binary registers a test name twice
 #   scripts/gates.sh lint-fixtures    respin-lint: bad fixtures fail citing their rule, good ones pass
 #   scripts/gates.sh verify-fixtures  respin-verify: seeded bad configs and broken FSM fixtures must fail
 #   scripts/gates.sh fault-trace DIR  fault-injection + trace smoke at 2 workers, artifacts left in DIR
@@ -49,6 +50,22 @@ gate_dead_code() {
         exit 1
     fi
     echo 'dead-code: no allow(dead_code) in crates/*/src'
+}
+
+# A name registered twice runs its body twice and is counted twice.
+# `--list` ends each binary's list with its `N tests, M benchmarks`
+# line, so names are compared per binary.
+gate_test_names() {
+    cargo test --workspace -q --no-run
+    list=$(cargo test --workspace -- --list 2>/dev/null)
+    dups=$(printf '%s\n' "$list" | awk '/: (test|bench)$/ { if (seen[$0]++) print }
+        /^[0-9]+ tests?, [0-9]+ benchmarks?$/ { split("", seen) }')
+    if [ -n "$dups" ]; then
+        printf '%s\n' "$dups" >&2
+        echo 'test-names: the tests above are registered twice in one test binary' >&2
+        exit 1
+    fi
+    echo 'test-names: every test binary lists each test name once'
 }
 
 gate_lint_fixtures() {
@@ -234,8 +251,8 @@ gate_kill_resume() {
     RESPIN_THREADS=1 "$exp_bin" fig12 --quick --out "$kr_dir/int" \
         --checkpoint-dir "$kr_dir/ckpt" >/dev/null 2>&1 &
     kr_pid=$!
-    # Store entries are `<16 hex>.json`; `index.json` is written at open and
-    # does not count.
+    # Store entries are `<16 hex>.json`; a stale `*.tmp` from the killed
+    # save does not count.
     kr_entries() {
         ls "$kr_dir/ckpt" 2>/dev/null | grep -Ec '^[0-9a-f]{16}\.json$' || true
     }
@@ -342,6 +359,7 @@ case "$gate" in
     vendor) gate_vendor ;;
     docs) gate_docs ;;
     dead-code) gate_dead_code ;;
+    test-names) gate_test_names ;;
     lint-fixtures) gate_lint_fixtures ;;
     verify-fixtures) gate_verify_fixtures ;;
     fault-trace) gate_fault_trace "${2:?usage: scripts/gates.sh fault-trace DIR}" ;;
@@ -350,6 +368,6 @@ case "$gate" in
     kill-resume) gate_kill_resume ;;
     serve-smoke) gate_serve_smoke ;;
     *)
-        echo "usage: scripts/gates.sh vendor|docs|dead-code|lint-fixtures|verify-fixtures|fault-trace DIR|determinism DIR|goldens|kill-resume|serve-smoke" >&2
+        echo "usage: scripts/gates.sh vendor|docs|dead-code|test-names|lint-fixtures|verify-fixtures|fault-trace DIR|determinism DIR|goldens|kill-resume|serve-smoke" >&2
         exit 2 ;;
 esac

@@ -27,6 +27,9 @@ cargo build --release
 echo '== cargo test -q'
 cargo test -q
 
+echo '== no test binary registers a test name twice'
+"$gates" test-names
+
 echo '== perfbench builds against the current program API'
 cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
 

@@ -3,20 +3,18 @@
 //! `serve --store`:
 //!
 //! * a store holding *any* subset of a campaign's entries — one of them
-//!   torn or bit-flipped, the LRU index deleted or torn, exactly what a
-//!   crash or bit rot can leave behind — resumes the campaign to a
-//!   report byte-identical to the uninterrupted one, and the damaged
-//!   entry is re-saved clean;
-//! * arbitrary bytes in an entry file or in `index.json` never make
-//!   `ResultStore::open` or `load` panic: the entry is a miss, and a
-//!   later save of the same key lands a loadable entry.
+//!   torn or bit-flipped, exactly what a crash or bit rot can leave
+//!   behind — resumes the campaign to a report byte-identical to the
+//!   uninterrupted one, and the damaged entry is re-saved clean;
+//! * arbitrary bytes in an entry file never make `ResultStore::open` or
+//!   `load` panic: the entry is a miss, and a later save of the same key
+//!   lands a loadable entry.
 
 use proptest::prelude::*;
 use respin_core::arch::ArchConfig;
 use respin_core::experiments::common::{canonical_key, ResultBacking};
 use respin_core::experiments::{ResultSource, RunCache};
 use respin_core::runner::RunOptions;
-use respin_serve::store::INDEX_FILE;
 use respin_serve::ResultStore;
 use respin_sim::RunResult;
 use respin_workloads::Benchmark;
@@ -77,8 +75,6 @@ struct Baseline {
     report: String,
     /// Per batch position: canonical key, live result, entry file bytes.
     entries: Vec<(String, RunResult, Vec<u8>)>,
-    /// The index file the campaign left behind.
-    index: Vec<u8>,
 }
 
 fn baseline() -> &'static Baseline {
@@ -99,13 +95,8 @@ fn baseline() -> &'static Baseline {
                 (key, result, bytes)
             })
             .collect();
-        let index = fs::read(dir.join(INDEX_FILE)).expect("index written");
         let _ = fs::remove_dir_all(&dir);
-        Baseline {
-            report,
-            entries,
-            index,
-        }
+        Baseline { report, entries }
     })
 }
 
@@ -138,8 +129,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A store seeded with any subset of the campaign's entries, one of
-    /// them damaged and the index lost or torn, resumes to the
-    /// never-interrupted report, and leaves every entry clean.
+    /// them damaged, resumes to the never-interrupted report, and leaves
+    /// every entry clean.
     #[test]
     fn any_damaged_store_resumes_to_an_identical_report(
         subset in 0usize..8,
@@ -147,8 +138,6 @@ proptest! {
         flip in 0usize..2,
         at in 0usize..1_000_000,
         mask in 1u8..16,
-        tear_index in 0usize..2,
-        index_at in 0usize..1_000_000,
     ) {
         let base = baseline();
         let dir = fresh_dir("resume");
@@ -177,13 +166,6 @@ proptest! {
             fs::write(ResultStore::open(&dir, 0).expect("open").entry_path(key), &bytes)
                 .expect("damage entry");
         }
-        let index_path = dir.join(INDEX_FILE);
-        if tear_index == 0 {
-            fs::remove_file(&index_path).expect("delete index");
-        } else {
-            let index = fs::read(&index_path).expect("index present");
-            fs::write(&index_path, &index[..index_at % index.len()]).expect("tear index");
-        }
 
         let store = Arc::new(ResultStore::open(&dir, 0).expect("reopen store"));
         let cache = RunCache::new().with_backing(store.clone());
@@ -205,19 +187,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Untrusted bytes as an entry file and as `index.json` never panic
-    /// `open` or `load`. Pure noise is always a miss; a mangled copy of
-    /// a real entry is a miss or (when the damage happens to be benign)
-    /// the exact result — never a near-miss. A later save lands an entry
-    /// that loads, through this handle and a fresh one.
+    /// Untrusted bytes as an entry file never panic `open` or `load`.
+    /// Pure noise is always a miss; a mangled copy of a real entry is a
+    /// miss or (when the damage happens to be benign) the exact result —
+    /// never a near-miss. A later save lands an entry that loads,
+    /// through this handle and a fresh one.
     #[test]
-    fn arbitrary_entry_and_index_bytes_never_panic_the_store(
+    fn arbitrary_entry_bytes_never_panic_the_store(
         entry_noise in proptest::collection::vec(0u8..=255, 1..96),
         entry_mode in 0usize..3,
         entry_at in 0usize..1_000_000,
-        index_noise in proptest::collection::vec(0u8..=255, 1..96),
-        index_mode in 0usize..3,
-        index_at in 0usize..1_000_000,
     ) {
         let base = baseline();
         let (key, result, valid) = &base.entries[0];
@@ -225,11 +204,6 @@ proptest! {
         let entry_path = ResultStore::open(&dir, 0).expect("open store").entry_path(key);
         fs::write(&entry_path, mangle(valid, &entry_noise, entry_mode, entry_at))
             .expect("write entry");
-        fs::write(
-            dir.join(INDEX_FILE),
-            mangle(&base.index, &index_noise, index_mode, index_at),
-        )
-        .expect("write index");
 
         let store = ResultStore::open(&dir, 0).expect("open tolerates any bytes");
         match store.load(key) {

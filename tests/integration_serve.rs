@@ -14,12 +14,15 @@
 //! * **Disconnect tolerance** — a client that hangs up mid-stream
 //!   cannot take down the daemon or lose the job: the admitted run
 //!   completes and lands warm for the next client.
+//! * **Handshake** — `Hello` reports the thread budget the daemon was
+//!   started with and the store occupancy its `Stats` report, which match
+//!   the entry files on disk.
 
 use respin_core::arch::ArchConfig;
 use respin_core::experiments::common::{canonical_key, ResultBacking};
 use respin_core::experiments::{generate_named, ExpParams, RunCache};
 use respin_core::runner::RunOptions;
-use respin_serve::protocol::{encode_request, request, Request, CODE_RUN_PANIC};
+use respin_serve::protocol::{encode_request, request, Event, Request, CODE_RUN_PANIC};
 use respin_serve::{Client, ResultSource, ServeOptions, Server, SweepOutcome};
 use respin_workloads::Benchmark;
 use std::io::Write;
@@ -193,6 +196,49 @@ fn a_duplicate_within_one_sweep_is_simulated_once_and_labelled_memo_once() {
     assert!(outcome.sources.contains(&Some(ResultSource::Live)));
     assert!(outcome.sources.contains(&Some(ResultSource::WarmMemo)));
     assert_eq!(outcome.results[0], outcome.results[1]);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hello_reports_the_budget_and_the_store_on_disk() {
+    let dir = fresh_dir("hello");
+    let (threads, max_jobs) = (4, 2);
+    let (socket, handle) = start_daemon(&dir, true, threads, max_jobs);
+    let mut client = Client::connect(&socket).expect("connect");
+    let outcome = client.sweep(batch(), false).expect("sweep");
+    assert_eq!(outcome.done.live, batch().len());
+    let hello = client.hello().expect("hello");
+    assert_eq!(
+        (hello.threads, hello.max_jobs, hello.fair_share),
+        (threads, max_jobs, threads / max_jobs)
+    );
+    let Event::Stats {
+        store_entries,
+        store_bytes,
+        ..
+    } = client.stats().expect("stats")
+    else {
+        panic!("stats request answered with another event");
+    };
+    assert_eq!(
+        (hello.store_entries, hello.store_bytes),
+        (store_entries, store_bytes)
+    );
+    // The daemon's numbers come from its in-memory index; the entry
+    // files on disk are the truth they must match.
+    let mut on_disk = (0, 0);
+    for entry in std::fs::read_dir(dir.join("store")).expect("store dir") {
+        let entry = entry.expect("dir entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if name.len() == 21 && name.ends_with(".json") {
+            on_disk.0 += 1;
+            on_disk.1 += entry.metadata().expect("metadata").len();
+        }
+    }
+    assert_eq!(on_disk, (batch().len(), store_bytes));
+    assert_eq!(store_entries, batch().len());
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,7 +5,7 @@ use respin_core::arch::ArchConfig;
 use respin_core::experiments::{generate_named, ExpParams, Pool, RunCache};
 use respin_core::runner::{run, RunOptions};
 use respin_trace::{
-    canonical_order, to_chrome_trace, to_jsonl, validate_jsonl, RingSink, TraceKind, Tracer,
+    canonical_order, to_chrome_trace, to_jsonl, RingSink, TraceEvent, TraceKind, Tracer,
 };
 use respin_workloads::Benchmark;
 use std::sync::Arc;
@@ -87,10 +87,13 @@ fn consolidating_run_traces_decisions_and_consolidations() {
 fn jsonl_export_roundtrips_and_validates() {
     let (_, events) = run_both(ArchConfig::ShSttCc);
     let jsonl = to_jsonl(&events);
-    let parsed = match validate_jsonl(&jsonl) {
-        Ok(parsed) => parsed,
-        Err((line, msg)) => panic!("line {line}: {msg}"),
-    };
+    let parsed: Vec<TraceEvent> = jsonl
+        .lines()
+        .enumerate()
+        .map(|(i, line)| {
+            serde_json::from_str(line).unwrap_or_else(|e| panic!("line {}: {e:?}", i + 1))
+        })
+        .collect();
     for (i, (p, e)) in parsed.iter().zip(&events).enumerate() {
         assert_eq!(p, e, "first mismatch at event {i}");
     }
