@@ -115,4 +115,23 @@ mod tests {
         }
         assert!(to_json(&Row { x: 7 }).contains("\"x\": 7"));
     }
+
+    #[test]
+    fn a_table_without_rows_renders_its_header_and_rule() {
+        let t = TextTable::new(vec!["config", "EPI"]);
+        assert_eq!(t.render(), "config  EPI\n-----------\n");
+    }
+
+    #[test]
+    fn the_rule_spans_every_column_and_separator() {
+        let mut t = TextTable::new(vec!["a", "b", "c"]);
+        t.row(vec!["xxxx", "y", "zz"]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().collect();
+        // Widths 4 + 1 + 2, two 2-space separators; no trailing padding
+        // after the last column beyond its own width.
+        assert_eq!(lines[1], "-".repeat(11));
+        assert_eq!(lines[2], "xxxx  y  zz");
+        assert_eq!(lines[0], "a     b  c ");
+    }
 }

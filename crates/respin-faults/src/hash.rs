@@ -87,4 +87,38 @@ mod tests {
         let mean = sum / 4096.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
     }
+
+    #[test]
+    fn combine_of_nothing_is_zero_and_of_one_part_is_mix() {
+        assert_eq!(combine(&[]), 0);
+        for x in [0, 1, 42, u64::MAX] {
+            assert_eq!(combine(&[x]), mix(x));
+        }
+        assert_eq!(combine(&[3, 4]), mix(mix(3).wrapping_add(4)));
+    }
+
+    #[test]
+    fn unit_f64_spans_zero_to_just_below_one() {
+        assert_eq!(unit_f64(0), 0.0);
+        // The low 11 bits are discarded.
+        assert_eq!(unit_f64((1 << 11) - 1), 0.0);
+        let top = unit_f64(u64::MAX);
+        assert!(top < 1.0);
+        assert_eq!(top, 1.0 - f64::EPSILON / 2.0);
+    }
+
+    #[test]
+    fn mix_has_no_collisions_on_a_dense_sample() {
+        let outs: std::collections::HashSet<u64> = (0..8192u64).map(mix).collect();
+        assert_eq!(outs.len(), 8192);
+    }
+
+    #[test]
+    fn domain_tags_separate_draws_at_one_coordinate() {
+        let tags = [DOMAIN_WRITE, DOMAIN_RETENTION, DOMAIN_CORE];
+        let key = combine(&[7, 11, 0]);
+        let draws: std::collections::HashSet<u64> =
+            tags.iter().map(|&d| combine(&[key, d, 0x40, 9])).collect();
+        assert_eq!(draws.len(), tags.len());
+    }
 }

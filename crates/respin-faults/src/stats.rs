@@ -241,4 +241,66 @@ mod tests {
         s.reset();
         assert_eq!(s, FaultStats::default());
     }
+
+    #[test]
+    fn merge_fills_the_trace_only_up_to_the_cap() {
+        let mut a = FaultStats::default();
+        for t in 0..(TRACE_CAP as u64 - 2) {
+            a.record(t, 0, FaultEventKind::EccCorrected);
+        }
+        let mut b = FaultStats::default();
+        for t in 0..5u64 {
+            b.record(1_000 + t, 0, FaultEventKind::EccDetected);
+        }
+        b.summary.ecc_detected = 5;
+        a.merge(&b);
+        assert_eq!(a.trace.len(), TRACE_CAP);
+        // The two that fit are b's first two, in order; counters are
+        // never capped.
+        assert_eq!(a.trace[TRACE_CAP - 2].tick, 1_000);
+        assert_eq!(a.trace[TRACE_CAP - 1].tick, 1_001);
+        assert_eq!(a.summary.ecc_detected, 5);
+    }
+
+    #[test]
+    fn total_injected_counts_only_the_fault_models() {
+        let s = FaultSummary {
+            write_faults: 1,
+            retention_flips: 10,
+            core_faults: 100,
+            write_retries: 1_000,
+            ecc_corrected: 1_000,
+            ecc_detected: 1_000,
+            scrubbed_lines: 1_000,
+            cores_decommissioned: 1_000,
+            ..FaultSummary::default()
+        };
+        assert_eq!(s.total_injected(), 111);
+    }
+
+    #[test]
+    fn summary_merge_adds_every_counter() {
+        let one = FaultSummary {
+            write_faults: 1,
+            write_retries: 2,
+            retry_exhausted: 3,
+            retention_flips: 4,
+            ecc_corrected: 5,
+            ecc_detected: 6,
+            uncorrected_escapes: 7,
+            scrubbed_lines: 8,
+            scrub_rewrites: 9,
+            core_faults: 10,
+            cores_decommissioned: 11,
+            recovery_energy_pj: 12.5,
+        };
+        let mut sum = one;
+        sum.merge(&one);
+        // Doubling then taking the delta against the original gives the
+        // original back field by field.
+        assert_eq!(sum.delta_since(&one), one);
+        assert_eq!(sum.write_faults, 2);
+        assert_eq!(sum.cores_decommissioned, 22);
+        assert_eq!(sum.recovery_energy_pj, 25.0);
+    }
 }

@@ -234,4 +234,37 @@ mod tests {
         let back: Report = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, r);
     }
+
+    #[test]
+    fn report_display_lists_each_violation_then_the_counts() {
+        let mut r = Report::new();
+        r.push(Violation::error("E1", "inv", "a", "first"));
+        r.push(Violation::warning("W1", "inv", "b", "second"));
+        r.push(Violation::warning("W2", "inv", "c", "third"));
+        let text = r.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].starts_with("error[E1] at a: first"));
+        assert!(lines[1].starts_with("warning[W1]"));
+        assert_eq!(lines[3], "1 error(s), 2 warning(s)");
+    }
+
+    #[test]
+    fn merge_appends_in_discovery_order() {
+        let mut a = Report::new();
+        a.push(Violation::warning("A", "inv", "loc", "msg"));
+        let mut b = Report::new();
+        b.push(Violation::error("B", "inv", "loc", "msg"));
+        b.push(Violation::warning("C", "inv", "loc", "msg"));
+        a.merge(b);
+        let codes: Vec<&str> = a.violations.iter().map(|v| v.code.as_str()).collect();
+        assert_eq!(codes, ["A", "B", "C"]);
+    }
+
+    #[test]
+    fn errors_rank_above_warnings() {
+        assert!(Severity::Error > Severity::Warning);
+        assert_eq!(Severity::Warning.to_string(), "warning");
+        assert_eq!(Severity::Error.to_string(), "error");
+    }
 }

@@ -64,4 +64,15 @@ mod tests {
     fn downshift_is_free_by_default() {
         assert_eq!(LevelShifter::default().downshift_delay_ps, 0.0);
     }
+
+    #[test]
+    fn delivery_rounds_any_excess_up_to_a_whole_cycle() {
+        let ls = LevelShifter::default();
+        // 750 + 50 ps is exactly two 400 ps cycles; one more picosecond
+        // of wire needs a third.
+        assert_eq!(ls.delivery_cache_cycles(50.0, 400.0), 2);
+        assert_eq!(ls.delivery_cache_cycles(51.0, 400.0), 3);
+        // With no wire at all the up-shift alone still spans two cycles.
+        assert_eq!(ls.delivery_cache_cycles(0.0, 400.0), 2);
+    }
 }

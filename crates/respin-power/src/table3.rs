@@ -167,4 +167,30 @@ mod tests {
         assert_eq!(text.matches("SRAM (16KB x 16)").count(), 2);
         assert!(text.contains("STT-RAM (256KB)"));
     }
+
+    #[test]
+    fn stt_ram_trades_write_latency_for_leakage_and_area() {
+        let rows = generate();
+        let sram = &rows[2].params;
+        let stt = &rows[3].params;
+        assert_eq!(rows[2].label, "SRAM (256KB)");
+        assert_eq!(rows[3].label, "STT-RAM (256KB)");
+        assert!(stt.write_latency_ps > 5.0 * sram.write_latency_ps);
+        assert!(stt.leakage_mw < sram.leakage_mw / 5.0);
+        assert!(stt.area_mm2 < sram.area_mm2 / 2.0);
+        assert!(stt.read_energy_pj < sram.read_energy_pj);
+    }
+
+    #[test]
+    fn sram_at_reduced_voltage_is_slower_and_cheaper_per_read() {
+        let rows = generate();
+        let (low, nominal) = (&rows[0], &rows[1]);
+        assert_eq!(low.label, nominal.label);
+        assert!(low.vdd < nominal.vdd);
+        assert!(low.params.read_latency_ps > nominal.params.read_latency_ps);
+        assert!(low.params.read_energy_pj < nominal.params.read_energy_pj);
+        assert!(low.params.leakage_mw < nominal.params.leakage_mw);
+        // Same array at both voltages: the area does not change.
+        assert_eq!(low.params.area_mm2, nominal.params.area_mm2);
+    }
 }

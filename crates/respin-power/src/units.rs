@@ -54,4 +54,23 @@ mod tests {
         assert_eq!(kib(16), 16384);
         assert_eq!(mib(1), 1024 * kib(1));
     }
+
+    #[test]
+    fn average_power_is_picojoules_per_nanosecond() {
+        // pJ = mW × ns: 1 pJ spent over 1 ns is 1 mW.
+        assert_eq!(average_power_mw(1.0, PS_PER_NS), 1.0);
+        for (power_mw, time_ps) in [(0.5, 400.0), (3.0, 1e6), (120.0, 2.5e9)] {
+            let energy_pj = power_mw * time_ps / PS_PER_NS;
+            let back = average_power_mw(energy_pj, time_ps);
+            assert!(
+                (back - power_mw).abs() <= 1e-12 * power_mw,
+                "{back} vs {power_mw}"
+            );
+        }
+    }
+
+    #[test]
+    fn average_power_over_a_negative_interval_is_zero() {
+        assert_eq!(average_power_mw(42.0, -1.0), 0.0);
+    }
 }

@@ -108,4 +108,36 @@ mod tests {
         let (os, hw) = (OS_SLICE_CORE_CYCLES, HW_SLICE_CORE_CYCLES);
         assert!(os >= 50 * hw, "os {os} vs hw {hw}");
     }
+
+    #[test]
+    fn delivery_is_the_papers_0_8_ns() {
+        assert_eq!(DELIVERY_TICKS as f64 * CACHE_PERIOD_PS, 800.0);
+    }
+
+    #[test]
+    fn main_memory_is_100_ns_away() {
+        assert_eq!(MEM_LATENCY_TICKS as f64 * CACHE_PERIOD_PS, 100_000.0);
+    }
+
+    #[test]
+    fn consolidation_costs_are_ordered() {
+        // A hardware switch is a bank select; a migration loses state
+        // and an OS switch is the most expensive of all.
+        let migration = MIGRATION_DRAIN_CORE_CYCLES
+            + MIGRATION_TRANSFER_CORE_CYCLES
+            + MIGRATION_COLD_STATE_CORE_CYCLES;
+        let cheaper_first = [
+            (HW_CTX_SWITCH_CORE_CYCLES, MISPREDICT_PENALTY_CORE_CYCLES),
+            (CORE_FAULT_RECOVERY_CORE_CYCLES, migration),
+            (migration, OS_CTX_SWITCH_CORE_CYCLES),
+            // Remote (inter-cluster) coherence costs more than local.
+            (INTRA_INVALIDATE_TICKS, INTER_INVALIDATE_TICKS),
+            (INTRA_REMOTE_FETCH_TICKS, INTER_REMOTE_FETCH_TICKS),
+        ];
+        for (cheap, dear) in cheaper_first {
+            assert!(cheap < dear, "{cheap} vs {dear}");
+        }
+        let (intra, inter) = (INTRA_COHERENCE_MSG_PJ, INTER_COHERENCE_MSG_PJ);
+        assert!(intra < inter, "{intra} vs {inter}");
+    }
 }

@@ -147,4 +147,32 @@ mod tests {
         // 1000 pJ over 1 µs = 1 mW.
         assert!((b.average_power_mw(1e6) - 1.0).abs() < 1e-12);
     }
+
+    #[test]
+    fn rebase_restarts_the_integral_at_the_given_tick() {
+        let mut li = LeakageIntegrator::new(2.0, 400.0);
+        li.set_power(500, 4.0);
+        li.rebase(1000);
+        assert_eq!(li.energy_pj(1000), 0.0);
+        assert_eq!(li.power_mw(), 4.0);
+        // 4 mW × 1000 ticks × 0.4 ns = 1600 pJ.
+        assert!((li.energy_pj(2000) - 1600.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_tick_before_the_last_change_adds_nothing_pending() {
+        let mut li = LeakageIntegrator::new(1.0, 400.0);
+        li.set_power(1000, 3.0);
+        let at_change = li.energy_pj(1000);
+        assert!((at_change - 400.0).abs() < 1e-9);
+        assert_eq!(li.energy_pj(10), at_change);
+    }
+
+    #[test]
+    fn gated_power_integrates_to_nothing() {
+        let mut li = LeakageIntegrator::new(5.0, 400.0);
+        li.set_power(100, 0.0);
+        let off = li.energy_pj(100);
+        assert_eq!(li.energy_pj(1_000_000), off);
+    }
 }

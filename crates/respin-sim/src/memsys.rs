@@ -243,4 +243,59 @@ mod tests {
         assert_eq!(m.read(0), crate::consts::MEM_LATENCY_TICKS);
         assert!((m.energy_pj() - 2.0 * crate::consts::MEM_ACCESS_ENERGY_PJ).abs() < 1e-9);
     }
+
+    #[test]
+    fn write_hit_dirties_a_clean_line_without_a_miss() {
+        let mut l = level();
+        l.fill(0x3000, false);
+        assert_eq!(l.probe(0x3000), Some(LineState::Exclusive));
+        let (done, ev) = l.write(0x3000, 5);
+        assert_eq!(done, 5 + 14);
+        assert!(ev.is_none());
+        assert_eq!(l.probe(0x3000), Some(LineState::Modified));
+        assert_eq!(l.stats.misses, 0);
+    }
+
+    #[test]
+    fn invalidate_removes_the_line_and_reports_its_state() {
+        let mut l = level();
+        l.fill(0x4000, true);
+        assert_eq!(l.invalidate(0x4000), Some(LineState::Modified));
+        assert_eq!(l.probe(0x4000), None);
+        assert_eq!(l.invalidate(0x4000), None);
+        let (_, hit) = l.read(0x4000, 0);
+        assert!(!hit);
+    }
+
+    #[test]
+    fn reset_measurements_keeps_the_contents() {
+        let mut l = level();
+        l.fill(0x5000, false);
+        l.read(0x5000, 0);
+        l.read(0x6000, 0);
+        assert!(l.dyn_energy_pj > 0.0);
+        l.reset_measurements();
+        assert_eq!(l.stats, LevelStats::default());
+        assert_eq!(l.dyn_energy_pj, 0.0);
+        let (_, hit) = l.read(0x5000, 100);
+        assert!(hit, "a measurement reset must not flush the array");
+    }
+
+    #[test]
+    fn an_idle_level_does_not_delay_a_late_request() {
+        let mut l = level();
+        l.read(0x0, 0);
+        let (t, _) = l.read(0x40, 100);
+        assert_eq!(t, 106);
+    }
+
+    #[test]
+    fn memory_reset_clears_the_off_chip_account() {
+        let mut m = MainMemory::default();
+        m.read(0);
+        m.read(0);
+        m.reset_measurements();
+        assert_eq!(m.accesses, 0);
+        assert_eq!(m.energy_pj(), 0.0);
+    }
 }

@@ -162,4 +162,36 @@ mod tests {
         assert_eq!(a.executed_ticks, 3);
         assert_eq!(a.total_ns(), 15);
     }
+
+    #[test]
+    fn a_clock_running_backwards_attributes_nothing() {
+        let mut readings = [100u64, 50, 80].into_iter();
+        let mut clock = || readings.next().unwrap_or(80);
+        let mut p = PhaseProfiler::new(&mut clock);
+        p.mark(Phase::EventDrain);
+        p.mark(Phase::SyncReplay);
+        assert_eq!(p.acc.ns[Phase::EventDrain as usize], 0);
+        assert_eq!(p.acc.ns[Phase::SyncReplay as usize], 30);
+    }
+
+    #[test]
+    fn phases_index_every_bucket_once() {
+        let phases = [
+            Phase::SharedL1Tick,
+            Phase::EventDrain,
+            Phase::CoreExecute,
+            Phase::SyncReplay,
+            Phase::EpochMaintenance,
+        ];
+        let idx: Vec<usize> = phases.iter().map(|&p| p as usize).collect();
+        assert_eq!(idx, (0..PHASE_COUNT).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn no_probe_is_zero_sized() {
+        assert_eq!(std::mem::size_of::<NoProbe>(), 0);
+        let mut p = NoProbe;
+        p.mark(Phase::CoreExecute);
+        p.tick_executed();
+    }
 }

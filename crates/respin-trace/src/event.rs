@@ -311,4 +311,110 @@ mod tests {
             assert_eq!(back, ev);
         }
     }
+
+    #[test]
+    fn finite_or_zero_replaces_only_non_finite_values() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(finite_or_zero(v), 0.0);
+        }
+        for v in [0.0, -1.5, 42.0, f64::MAX, f64::MIN_POSITIVE] {
+            assert_eq!(finite_or_zero(v), v);
+        }
+    }
+
+    #[test]
+    fn epoch_series_carry_an_epoch_and_discrete_events_do_not() {
+        let series = [
+            TraceKind::ClusterEpoch {
+                cluster: 0,
+                epoch: 4,
+                instructions: 0,
+                energy_pj: 0.0,
+                epi_pj: 0.0,
+                active_cores: 0,
+                healthy_cores: 0,
+                core_freq_mhz: Vec::new(),
+            },
+            TraceKind::CacheEpoch {
+                cluster: 0,
+                epoch: 4,
+                reads: 0,
+                read_misses: 0,
+                half_misses: 0,
+                writes: 0,
+                half_miss_rate: 0.0,
+                arbiter_occupancy: 0.0,
+                l2_miss_rate: 0.0,
+            },
+            TraceKind::FaultEpoch {
+                epoch: 4,
+                write_faults: 0,
+                write_retries: 0,
+                retention_flips: 0,
+                ecc_corrected: 0,
+                ecc_detected: 0,
+                uncorrected_escapes: 0,
+                scrubbed_lines: 0,
+                scrub_rewrites: 0,
+                recovery_energy_pj: 0.0,
+            },
+            TraceKind::VcmDecision {
+                cluster: 0,
+                epoch: 4,
+                epi_pj: 0.0,
+                epi_delta: None,
+                current: 1,
+                target: 1,
+            },
+        ];
+        for kind in series {
+            assert_eq!(TraceEvent::at(9, kind).epoch(), Some(4));
+        }
+        let discrete = [
+            TraceKind::RunStart {
+                options: String::new(),
+            },
+            TraceKind::Consolidation {
+                cluster: 0,
+                from: 2,
+                to: 1,
+                total_active: 1,
+            },
+            TraceKind::Migration {
+                cluster: 0,
+                vcore: 0,
+                to_core: 1,
+            },
+            TraceKind::CoreFault {
+                cluster: 0,
+                core: 0,
+                fault_count: 1,
+            },
+            TraceKind::FaultCell {
+                cluster: 0,
+                kind: "EccCorrected".into(),
+                addr: 64,
+            },
+        ];
+        for kind in discrete {
+            let e = TraceEvent::at(9, kind);
+            assert_eq!(e.epoch(), None, "{}", e.name());
+        }
+    }
+
+    #[test]
+    fn run_stamp_survives_the_json_roundtrip() {
+        let mut e = TraceEvent::at(
+            u64::MAX,
+            TraceKind::Migration {
+                cluster: 3,
+                vcore: 5,
+                to_core: 1,
+            },
+        );
+        e.run = u32::MAX;
+        let back: TraceEvent = serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert_eq!(back, e);
+        assert_eq!(back.name(), "Migration");
+    }
 }

@@ -239,4 +239,36 @@ mod tests {
         }
         assert_eq!(ring.snapshot().len(), 400);
     }
+
+    #[test]
+    fn scoped_sink_without_a_limit_keeps_every_epoch() {
+        let ring = Arc::new(RingSink::unbounded());
+        let scoped = ScopedSink::new(3, None, ring.clone());
+        for epoch in [0, 1, 1_000, 1_000_000] {
+            scoped.record(&chip_epoch(epoch));
+        }
+        let kept = ring.snapshot();
+        assert_eq!(kept.len(), 4);
+        assert!(kept.iter().all(|e| e.run == 3));
+    }
+
+    #[test]
+    fn scoped_sink_with_a_zero_limit_keeps_only_discrete_events() {
+        let ring = Arc::new(RingSink::unbounded());
+        let scoped = ScopedSink::new(1, Some(0), ring.clone());
+        scoped.record(&chip_epoch(0));
+        scoped.record(&decommission(5));
+        let kept = ring.snapshot();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].name(), "Decommission");
+    }
+
+    #[test]
+    fn tracer_debug_says_whether_a_sink_is_installed() {
+        assert_eq!(format!("{:?}", Tracer::disabled()), "Tracer(disabled)");
+        assert_eq!(format!("{:?}", Tracer::default()), "Tracer(disabled)");
+        let on = Tracer::new(Arc::new(RingSink::unbounded()));
+        assert!(on.enabled());
+        assert_eq!(format!("{on:?}"), "Tracer(enabled)");
+    }
 }

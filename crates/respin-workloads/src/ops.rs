@@ -119,4 +119,37 @@ mod tests {
         }
         assert!(address_space::is_shared(address_space::SHARED_BASE));
     }
+
+    #[test]
+    fn only_loads_and_stores_carry_an_address() {
+        let others = [
+            Op::Int,
+            Op::Fp,
+            Op::Branch { mispredict: true },
+            Op::Idle { cycles: 1 },
+            Op::Barrier { id: 7 },
+            Op::LockAcq { lock: 7 },
+            Op::LockRel { lock: 7 },
+            Op::Done,
+        ];
+        for op in others {
+            assert_eq!(op.address(), None, "{op:?}");
+        }
+        assert_eq!(Op::Load { addr: 7 }.address(), Some(7));
+        assert_eq!(Op::Store { addr: u64::MAX }.address(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn branches_and_synchronisation_retire_as_instructions() {
+        for op in [
+            Op::Fp,
+            Op::Store { addr: 0 },
+            Op::Branch { mispredict: false },
+            Op::Branch { mispredict: true },
+            Op::LockAcq { lock: 0 },
+            Op::LockRel { lock: 0 },
+        ] {
+            assert!(op.is_instruction(), "{op:?}");
+        }
+    }
 }
