@@ -101,10 +101,10 @@ impl Client {
     fn send(&mut self, req: Request) -> Result<u64, String> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = encode_request(&request(id, req));
+        let mut line = encode_request(&request(id, req));
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send failed: {e}"))?;
         Ok(id)

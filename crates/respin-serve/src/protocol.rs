@@ -318,6 +318,43 @@ mod tests {
         }
     }
 
+    /// A peer's JSON writer may spell any string with escapes, and may
+    /// send members this daemon does not know: a `Result` line written
+    /// that way, with escaped keys and variant names and an extra member
+    /// of escaped and non-ASCII text, decodes to the event it encodes.
+    #[test]
+    fn an_escaped_non_ascii_result_line_decodes_to_the_same_event() {
+        let env = event(
+            7,
+            Event::Result {
+                index: 0,
+                source: ResultSource::WarmMemo,
+                result: Box::new(RunResult {
+                    ticks: 7,
+                    time_ps: 2.9,
+                    instructions: 3,
+                    energy: Default::default(),
+                    stats: respin_sim::ChipStats::new(1),
+                }),
+            },
+        );
+        let mut line = encode_event(&env);
+        for (plain, escaped) in [
+            (
+                r#"{"proto":"respin-serve/v1""#,
+                r#"{"note":"h\u00e9llo ✓ \ud83d\ude00 😀 \"q\" \\ \/ \n","\u0070roto":"respin-serve\/v1""#,
+            ),
+            (r#""Result""#, r#""R\u0065sult""#),
+            (r#""WarmMemo""#, r#""Warm\u004Demo""#),
+            (r#""index""#, r#""ind\u0065x""#),
+            (r#""ticks""#, r#""t\u0069cks""#),
+        ] {
+            assert!(line.contains(plain), "{plain} not in {line}");
+            line = line.replacen(plain, escaped, 1);
+        }
+        assert_eq!(decode_event(&line).expect("escaped line decodes"), env);
+    }
+
     #[test]
     fn version_mismatch_is_a_srv_proto_violation() {
         let line = r#"{"proto":"respin-serve/v0","id":1,"req":"Hello"}"#;

@@ -211,11 +211,11 @@ impl Sender {
         if state.failed {
             return false;
         }
-        let line = encode_event(&protocol::event(id, ev));
+        let mut line = encode_event(&protocol::event(id, ev));
+        line.push('\n');
         let ok = state
             .stream
             .write_all(line.as_bytes())
-            .and_then(|()| state.stream.write_all(b"\n"))
             .and_then(|()| state.stream.flush())
             .is_ok();
         if !ok {
